@@ -33,7 +33,15 @@ class SingularDesign(TwistSmcError):
 
 
 class InvalidModel(TwistSmcError):
-    """Model parameters violate a structural requirement (e.g. non-PD covariance)."""
+    """Model parameters violate a structural requirement (e.g. non-PD
+    covariance), or a model returned values it must not (NaN or +inf
+    log-potentials, at step t when known)."""
+
+    def __init__(self, message: str = "invalid model", t: int | None = None):
+        if t is not None:
+            message = f"{message} (t={t})"
+        super().__init__(message)
+        self.t = t
 
 
 class IngestError(TwistSmcError):

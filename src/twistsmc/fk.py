@@ -78,7 +78,6 @@ class SMCTrace:
     log_z_increments: np.ndarray  # (T,)
     ess_path: np.ndarray  # (T,)
     kernel_sample_count: int
-    final_ancestors: np.ndarray | None = None
 
     @property
     def horizon(self) -> int:
@@ -116,13 +115,33 @@ class SMCTrace:
         return self.trajectories(t)[n]
 
 
-def _check_log_weights(log_weights: np.ndarray) -> np.ndarray:
+def _max_log_weight(log_weights: np.ndarray, t: int | None = None) -> tuple[np.ndarray, float]:
+    """Validate log-weights and return them with their maximum.
+
+    One max reduction decides: NaN propagates to the maximum and +inf is the
+    maximum, and either raises InvalidModel, naming `t` when given, since no
+    weight may be infinite.  An all -inf array passes.
+    """
     lw = np.asarray(log_weights, dtype=float)
     if lw.ndim != 1 or lw.size == 0:
         raise ValueError("log_weights must be a nonempty 1-d array")
-    if np.isnan(lw).any():
-        raise InvalidModel("log weights contain NaN")
-    return lw
+    m = lw.max()
+    if not m < np.inf:
+        raise InvalidModel("log weights contain NaN" if m != m else "log weights contain +inf", t=t)
+    return lw, m
+
+
+def _check_log_weights(
+    log_weights: np.ndarray,
+    t: int | None = None,
+    degenerate: str = "all particle weights are zero",
+) -> tuple[np.ndarray, float]:
+    """`_max_log_weight`, plus DegenerateWeights with the `degenerate`
+    message when every weight is zero."""
+    lw, m = _max_log_weight(log_weights, t)
+    if m == -np.inf:
+        raise DegenerateWeights(degenerate, t=t)
+    return lw, m
 
 
 def resample(
@@ -133,12 +152,10 @@ def resample(
 ) -> np.ndarray:
     """Draw `count` ancestor indices from the categorical distribution defined
     by the (unnormalized) log-weights."""
-    lw = _check_log_weights(log_weights)
+    lw, m = _check_log_weights(log_weights)
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not np.isfinite(lw).any():
-        raise DegenerateWeights()
-    probs = np.exp(lw - np.max(lw))
+    probs = np.exp(lw - m)
     probs /= probs.sum()
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
@@ -154,10 +171,7 @@ def resample(
 def ess(log_weights: np.ndarray) -> float:
     """Effective sample size (sum w)^2 / sum w^2, computed on max-shifted
     weights so any log magnitude is safe; the value lies in [1, n]."""
-    lw = _check_log_weights(log_weights)
-    m = np.max(lw)
-    if not np.isfinite(m):
-        raise DegenerateWeights()
+    lw, m = _check_log_weights(log_weights)
     w = np.exp(lw - m)
     s1 = float(np.sum(w))
     s2 = float(np.sum(w * w))
@@ -195,11 +209,7 @@ def smc_step(
         raise InvalidModel(
             f"sampler returned shape {particles.shape}, expected {(n, model.state_dim)}"
         )
-    log_weights = np.asarray(model.log_potential(t, x_prev, particles), dtype=float)
-    if np.isnan(log_weights).any():
-        raise InvalidModel(f"log_potential returned NaN at t={t}")
-    if not np.isfinite(log_weights).any():
-        raise DegenerateWeights(t=t)
+    log_weights, _ = _check_log_weights(model.log_potential(t, x_prev, particles), t)
     return ParticleCloud(t=t, particles=particles, log_weights=log_weights, ancestors=ancestors)
 
 
@@ -212,9 +222,8 @@ def run_smc(
     """Run the full filter.
 
     Each time step consumes its own substream of `seed`, so a fixed seed gives
-    a bit-identical trace.  A final ancestor draw from the last weights is
-    performed (and recorded) even though no estimator depends on it; trajectory
-    estimators at the horizon use the pre-resampling weights.
+    a bit-identical trace.  No resampling follows the last step: estimators at
+    the horizon use the pre-resampling weights.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
@@ -237,13 +246,11 @@ def run_smc(
         ess_path[t - 1] = ess(cloud.log_weights)
         clouds.append(cloud)
         prev = cloud
-    final_ancestors = resample(prev.log_weights, n_particles, generator(root, 0), method=resampling)
     return SMCTrace(
         clouds=tuple(clouds),
         log_z_increments=increments,
         ess_path=ess_path,
         kernel_sample_count=n_particles * model.horizon,
-        final_ancestors=final_ancestors,
     )
 
 

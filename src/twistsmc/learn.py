@@ -103,6 +103,19 @@ def _weighted_ls(design: np.ndarray, y: np.ndarray, w: np.ndarray, ridge: float 
     return theta
 
 
+def _has_distinct_rows(pts: np.ndarray, p: int) -> bool:
+    """Whether `pts` has at least p distinct rows, as `np.unique(axis=0)`
+    counts them.  A single column with p distinct values already implies p
+    distinct rows, so the row-wise unique runs only when the first column
+    cannot decide."""
+    if pts.shape[0] < p:
+        return False
+    col = np.sort(pts[:, 0])
+    if np.count_nonzero(col[1:] != col[:-1]) + 1 >= p:
+        return True
+    return np.unique(pts, axis=0).shape[0] >= p
+
+
 @dataclass(frozen=True, eq=False)
 class RegressionProblem:
     """One twist-fitting problem.
@@ -130,7 +143,12 @@ def fit_log_quadratic(problem: RegressionProblem) -> LogQuadraticTwist:
     """Weighted least squares of log-targets over the log-quadratic family.
 
     Raises SingularDesign when fewer usable distinct points remain than
-    features, or the normal equations cannot be solved.
+    features, or the normal equations cannot be solved.  Points count as
+    distinct row-wise, as `np.unique(axis=0)` counts them; when one column
+    alone has enough distinct values, the row-wise count is skipped.  Pass
+    the kernel's `psd_epsilon` with `constraint_cov` when fitting many
+    problems against one covariance, so the floor is not recomputed from
+    its eigenvalues on every fit.
     """
     states = np.asarray(problem.states, dtype=float)
     if states.ndim != 2:
@@ -148,7 +166,7 @@ def fit_log_quadratic(problem: RegressionProblem) -> LogQuadraticTwist:
     if np.isnan(y[usable]).any():
         raise ValueError("log_targets contain NaN at weighted points")
     pts = states[usable]
-    if pts.shape[0] < p or np.unique(pts, axis=0).shape[0] < p:
+    if not _has_distinct_rows(pts, p):
         raise SingularDesign("fewer distinct usable points than features")
     yy = y[usable]
 

@@ -119,6 +119,21 @@ def build_nlobs_fk(
     return GaussianReference(fk=gaussian_fk(kernels, log_potential), kernels=kernels)
 
 
+def tridiagonal_is_pd(rho: np.ndarray) -> bool:
+    """Whether the tridiagonal matrix with unit diagonal and off-diagonal
+    entries rho is positive definite.  Its leading principal minors follow
+    D_k = D_{k-1} - rho_{k-1}^2 D_{k-2} with D_0 = D_1 = 1, and scaling rows
+    and columns by positive standard deviations keeps definiteness, so this
+    decides whether neighbour correlations rho give a valid `MsvParams`
+    innovation covariance."""
+    before, minor = 1.0, 1.0
+    for r in np.asarray(rho, dtype=float):
+        before, minor = minor, minor - r * r * before
+        if not minor > 0:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class MsvParams:
     """Multivariate stochastic volatility: latent log-variances follow a
@@ -144,14 +159,12 @@ class MsvParams:
             raise InvalidModel("sigma2 coordinates must be positive")
         if not np.all(np.abs(rho) < 1):
             raise InvalidModel("rho coordinates must lie in (-1, 1)")
+        if not tridiagonal_is_pd(rho):
+            raise InvalidModel("tridiagonal innovation covariance is not PD")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "rho", rho)
-        try:
-            np.linalg.cholesky(self.transition_cov)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidModel("tridiagonal innovation covariance is not PD") from exc
 
     @property
     def dim(self) -> int:

@@ -510,13 +510,24 @@ def tune_proposal_scale(
 def msv_prior(d: int) -> PriorSpec:
     """Flat prior on the level m, uniform(0,1) on each mean-reversion
     coordinate, inverse-gamma (mean 0.2, variance 1) on each innovation
-    variance, symmetric triangular on each neighbour correlation."""
+    variance, symmetric triangular on each neighbour correlation.  The
+    correlations are restricted to those whose tridiagonal innovation
+    covariance is positive definite, the support of `MsvParams`; the
+    truncated density is left unnormalized, since the constant cancels in
+    the acceptance ratio."""
+    from .models import tridiagonal_is_pd
+
+    triangular = triangular_block("rho", d - 1).log_density
+
+    def rho_logpdf(x: np.ndarray) -> float:
+        return triangular(x) if tridiagonal_is_pd(x) else -np.inf
+
     return PriorSpec(
         blocks=(
             improper_flat_block("m", d),
             uniform01_block("alpha", d),
             inverse_gamma_block("sigma2", d),
-            triangular_block("rho", d - 1),
+            PriorBlock(name="rho", size=d - 1, log_density=rho_logpdf),
         )
     )
 

@@ -29,8 +29,17 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DegenerateWeights, InvalidModel, SingularDesign
-from .fk import ParticleCloud, SMCTrace, ess, log_sum_exp, resample, run_smc
+from .errors import InvalidModel, SingularDesign
+from .fk import (
+    ParticleCloud,
+    SMCTrace,
+    _check_log_weights,
+    _max_log_weight,
+    ess,
+    log_sum_exp,
+    resample,
+    run_smc,
+)
 from .learn import RegressionProblem, feature_count, fit_log_quadratic, temper_exponent
 from .models import LgssmParams, as_observation_matrix, lgssm_kernels
 from .rng import as_seedseq, generator, substream
@@ -38,6 +47,7 @@ from .twist import (
     GaussianReference,
     LogQuadraticTwist,
     TwistPolicy,
+    _CovFactor,
     _TwistedKernel,
     build_twisted_model,
     integrate_twist_affine,
@@ -155,7 +165,8 @@ def write_training_records(run: TrainingRun, path) -> None:
 class ModelPiece:
     """Everything the trainers need about one time step: the log-potential
     bound to that step's observation and the Gaussian structure of its
-    kernel."""
+    kernel.  The kernel covariance is factored once, on construction, and
+    the factors are shared by every twisted kernel the piece builds."""
 
     t: int
     log_potential: Callable
@@ -166,12 +177,18 @@ class ModelPiece:
 
     def __post_init__(self):
         self._kernels: dict[int, _TwistedKernel] = {}
+        self._factor = _CovFactor(self.cov)
+
+    @property
+    def psd_epsilon(self) -> float:
+        """PSD floor for twists fitted against this step's kernel."""
+        return self._factor.psd_epsilon
 
     def twisted(self, twist: LogQuadraticTwist) -> _TwistedKernel:
         key = id(twist)
         kern = self._kernels.get(key)
         if kern is None:
-            kern = _TwistedKernel(self.cov, twist)
+            kern = _TwistedKernel(self._factor, twist)
             if len(self._kernels) > 8:
                 self._kernels.clear()
             self._kernels[key] = kern
@@ -287,8 +304,9 @@ def _forward_cell(
     if t == 1 and prev_eta0 != 0.0:
         lw_train = lw_train + prev_eta0
 
+    _, top = _max_log_weight(lw_train, t)
     reg_weights = lw_train
-    if cfg.tempering and np.isfinite(lw_train).any():
+    if cfg.tempering and top > -np.inf:
         if ess(lw_train) < n0:
             reg_weights = temper_exponent(lw_train, n0).tempered_log_weights
 
@@ -301,6 +319,7 @@ def _forward_cell(
                 log_weights=reg_weights,
                 mode=cfg.mode,
                 constraint_cov=piece.cov,
+                psd_epsilon=piece.psd_epsilon,
             )
         )
     except SingularDesign:
@@ -331,10 +350,7 @@ def _forward_cell(
             lw = lw + eta_new_prev.log_values(x_prev)
         if not prev_eta_tm1.is_identity:
             lw = lw - prev_eta_tm1.log_values(x_prev)
-    if np.isnan(lw).any():
-        raise InvalidModel(f"potential returned NaN at t={t}")
-    if not np.isfinite(lw).any():
-        raise DegenerateWeights(f"sampling pass degenerate at iteration {level}", t=t)
+    _check_log_weights(lw, t, f"sampling pass degenerate at iteration {level}")
 
     return _CellOut(
         phi_new=phi_new,
@@ -764,10 +780,7 @@ def _fast_online(
                     lw = lw + eta_new_prev.log_values(x_prev)
                 if not eta_old_prev.is_identity:
                     lw = lw - eta_old_prev.log_values(x_prev)
-            if np.isnan(lw).any():
-                raise InvalidModel(f"potential returned NaN at t={t}")
-            if not np.isfinite(lw).any():
-                raise DegenerateWeights(f"recycled pass degenerate at iteration {level + 1}", t=t)
+            _check_log_weights(lw, t, f"recycled pass degenerate at iteration {level + 1}")
             slots[t] = {"x": x, "lw": lw, "x_prev": x_prev}
             incr.put(level + 1, t, log_sum_exp(lw) - np.log(n))
             ess_rows.put(level + 1, t, ess(lw))
@@ -783,8 +796,8 @@ def _fast_online(
             eta_dst = eta.get((level, t), identity_twist)
             if not eta_dst.is_identity:
                 log_f = log_f + eta_dst.log_values(slot["x"])
-            reg_weights = slot["lw"]
-            if config.tempering and np.isfinite(reg_weights).any():
+            reg_weights, top = _max_log_weight(slot["lw"], t)
+            if config.tempering and top > -np.inf:
                 if ess(reg_weights) < n0:
                     reg_weights = temper_exponent(reg_weights, n0).tempered_log_weights
             try:
@@ -796,6 +809,7 @@ def _fast_online(
                         log_weights=reg_weights,
                         mode=config.mode,
                         constraint_cov=piece.cov,
+                        psd_epsilon=piece.psd_epsilon,
                     )
                 )
             except SingularDesign:
@@ -914,6 +928,7 @@ def controlled_smc_train(
                         log_weights=None,
                         mode=config.mode,
                         constraint_cov=piece.cov,
+                        psd_epsilon=piece.psd_epsilon,
                     )
                 )
             except SingularDesign:

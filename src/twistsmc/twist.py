@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -54,7 +55,14 @@ class LogQuadraticTwist:
             raise ValueError("A must be square")
         if b.shape != (A.shape[0],):
             raise ValueError("b must be a vector matching A")
-        if not np.allclose(A, A.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(A).max())):
+        if A.shape[0] == 1:
+            # a 1x1 matrix is symmetric; the tolerance test fails only on NaN
+            symmetric = A[0, 0] == A[0, 0]
+        else:
+            symmetric = (A == A.T).all() or np.allclose(
+                A, A.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(A).max())
+            )
+        if not symmetric:
             raise ValueError("A must be symmetric")
         object.__setattr__(self, "A", (A + A.T) / 2.0)
         object.__setattr__(self, "b", b)
@@ -152,35 +160,67 @@ def psd_floor(
     return (out + out.T) / 2.0
 
 
-class _TwistedKernel:
-    """Per-step factorizations for twisting one Gaussian kernel N(m(.), cov)
-    with one twist.  No explicit inverse is formed on the sampling path; draws
-    and twisted means go through triangular solves against the Cholesky
-    factor of the twisted precision."""
+class _CovFactor:
+    """Factorizations of one kernel covariance, shared by every twisted
+    kernel built against it: the Cholesky factor, the symmetrized precision,
+    and half the log-determinant.  The PSD floor for fits constrained by this
+    covariance is computed on first use."""
 
-    def __init__(self, cov: np.ndarray, twist: LogQuadraticTwist):
-        d = twist.dim
-        self.cov = _as_matrix(cov, d)
-        self.twist = twist
+    def __init__(self, cov: np.ndarray):
+        self.cov = np.asarray(cov, dtype=float)
+        d = self.cov.shape[0]
         self.chol_cov = np.linalg.cholesky(self.cov)
         prec = cho_solve((self.chol_cov, True), np.eye(d), check_finite=False)
         self.prec = (prec + prec.T) / 2.0
-        lam = self.prec + twist.A
-        try:
-            self.chol_lam = np.linalg.cholesky(lam)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidTwist(
-                "kernel precision + A is not positive definite"
-            ) from exc
-        # log det(I + cov A) = log det(cov) + log det(lambda)
-        self.logdet_cov_lam = 2.0 * (
-            np.log(np.diag(self.chol_cov)).sum() + np.log(np.diag(self.chol_lam)).sum()
-        )
-        # the twisted covariance, materialized once; draws still go through a
-        # triangular solve against the lambda factor rather than this inverse
-        lam_inv = cho_solve((self.chol_lam, True), np.eye(d), check_finite=False)
-        self.twisted_cov = (lam_inv + lam_inv.T) / 2.0
+        self.half_logdet = np.log(np.diag(self.chol_cov)).sum()
+
+    @cached_property
+    def psd_epsilon(self) -> float:
+        return default_psd_epsilon(self.cov)
+
+
+class _TwistedKernel:
+    """Per-step factorizations for twisting one Gaussian kernel N(m(.), cov)
+    with one twist.  The covariance factors come from a `_CovFactor` shared
+    by every kernel on that covariance; only the twisted precision
+    lambda = cov^-1 + A is factored here.  No explicit inverse is formed on
+    the sampling path; draws and twisted means go through triangular solves
+    against the Cholesky factor of lambda.  In one dimension the factor and
+    inverse of lambda are scalar expressions that reproduce the LAPACK
+    results bit for bit."""
+
+    def __init__(self, factor: _CovFactor, twist: LogQuadraticTwist):
+        d = twist.dim
+        if factor.cov.shape != (d, d):
+            raise ValueError(f"expected ({d}, {d}) matrix, got {factor.cov.shape}")
+        self.cov = factor.cov
+        self.twist = twist
+        self.chol_cov = factor.chol_cov
+        self.prec = factor.prec
         self._scalar = d == 1  # skip LAPACK round-trips in the 1-d hot path
+        if self._scalar:
+            lam = self.prec[0, 0] + twist.A[0, 0]
+            if not lam > 0:
+                raise InvalidTwist("kernel precision + A is not positive definite")
+            l_c = np.sqrt(lam)
+            self.chol_lam = np.array([[l_c]])
+            inv = (1.0 / l_c) * (1.0 / l_c)
+            self.twisted_cov = np.array([[(inv + inv) / 2.0]])
+            log_diag_lam = np.log(l_c)
+        else:
+            try:
+                self.chol_lam = np.linalg.cholesky(self.prec + twist.A)
+            except np.linalg.LinAlgError as exc:
+                raise InvalidTwist(
+                    "kernel precision + A is not positive definite"
+                ) from exc
+            # the twisted covariance, materialized once; draws still go through
+            # a triangular solve against the lambda factor rather than this
+            lam_inv = cho_solve((self.chol_lam, True), np.eye(d), check_finite=False)
+            self.twisted_cov = (lam_inv + lam_inv.T) / 2.0
+            log_diag_lam = np.log(np.diag(self.chol_lam)).sum()
+        # log det(I + cov A) = log det(cov) + log det(lambda)
+        self.logdet_cov_lam = 2.0 * (factor.half_logdet + log_diag_lam)
 
     def twisted_moments(self, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Twisted means for each row of `means`, plus the shared twisted
@@ -231,7 +271,7 @@ def twist_gaussian(
         cov = _as_matrix(cov, twist.dim)
         zeros = np.zeros(means.shape[0])
         return (mean, cov, 0.0 if single else zeros)
-    kern = _TwistedKernel(cov, twist)
+    kern = _TwistedKernel(_CovFactor(_as_matrix(cov, twist.dim)), twist)
     tm, tcov = kern.twisted_moments(means)
     log_eta = kern.log_eta(means)
     if single:
@@ -258,7 +298,7 @@ def integrate_twist_affine(
     u = np.asarray(trans_offset, dtype=float)
     if twist.is_identity:
         return LogQuadraticTwist.identity(d)
-    kern = _TwistedKernel(cov, twist) if kernel is None else kernel
+    kern = kernel if kernel is not None else _TwistedKernel(_CovFactor(_as_matrix(cov, d)), twist)
     # log eta(m) = -(1/2) m'Qm - m'r - s/2 with
     #   Q = P - P lam^-1 P,  r = P lam^-1 b,  s = c + logdet(cov lam) - b'lam^-1 b
     P = kern.prec
@@ -480,12 +520,17 @@ def build_twisted_model(
     mixed = aux is not policy
 
     kernel_cache: dict[int, _TwistedKernel] = {}
+    factors: dict[bytes, _CovFactor] = {}  # one per distinct step covariance
 
     def twisted_kernel(t: int) -> _TwistedKernel:
         if t not in kernel_cache:
             cov = kernels.initial_cov if t == 1 else kernels.trans_cov(t)
+            cov = _as_matrix(cov, kernels.state_dim)
+            key = cov.tobytes()
+            if key not in factors:
+                factors[key] = _CovFactor(cov)
             try:
-                kernel_cache[t] = _TwistedKernel(cov, policy.twists[t - 1])
+                kernel_cache[t] = _TwistedKernel(factors[key], policy.twists[t - 1])
             except InvalidTwist as exc:
                 raise InvalidTwist(f"twist at t={t} is invalid for its kernel") from exc
         return kernel_cache[t]

@@ -7,6 +7,7 @@ from scipy.special import logsumexp
 from twistsmc import (
     DegenerateWeights,
     FeynmanKacModel,
+    InvalidModel,
     LgssmParams,
     build_lgssm_fk,
     ess,
@@ -183,7 +184,6 @@ class TestRunSmc:
             assert np.array_equal(ca.particles, cb.particles)
             assert np.array_equal(ca.log_weights, cb.log_weights)
             assert np.array_equal(ca.ancestors, cb.ancestors)
-        assert np.array_equal(a.final_ancestors, b.final_ancestors)
 
     def test_kernel_sample_count(self):
         trace = run_smc(unit_potential_model(horizon=6), 16, 0)
@@ -200,6 +200,43 @@ class TestRunSmc:
         with pytest.raises(DegenerateWeights) as err:
             run_smc(model, 8, 0)
         assert err.value.t == 3
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_infinite_or_nan_potential_reports_time_index(self, bad):
+        def log_potential(t, xp, x):
+            out = np.zeros(x.shape[0])
+            if t == 3:
+                out[1] = bad
+            return out
+
+        model = FeynmanKacModel(
+            horizon=4,
+            state_dim=1,
+            initial_sampler=lambda n, rng: rng.standard_normal((n, 1)),
+            transition_sampler=lambda t, xp, rng: xp,
+            log_potential=log_potential,
+        )
+        with pytest.raises(InvalidModel) as err:
+            run_smc(model, 8, 0)
+        assert err.value.t == 3
+        assert "t=3" in str(err.value)
+
+
+class TestInfiniteLogWeights:
+    """A +inf log-weight is an infinite particle weight, which no model may
+    produce; it is rejected like NaN rather than resampled or summarized."""
+
+    def test_resample_rejects_positive_infinity(self):
+        with pytest.raises(InvalidModel, match=r"\+inf"):
+            resample(np.array([0.0, np.inf, -1.0]), 3, generator(0))
+
+    def test_ess_rejects_positive_infinity(self):
+        with pytest.raises(InvalidModel, match=r"\+inf"):
+            ess(np.array([np.inf, np.inf]))
+
+    def test_nan_still_named_when_infinity_present(self):
+        with pytest.raises(InvalidModel, match="NaN"):
+            ess(np.array([np.inf, np.nan, 0.0]))
 
 
 class TestTrajectoriesAndEstimators:

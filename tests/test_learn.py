@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from twistsmc import (
     LogQuadraticTwist,
@@ -12,7 +15,7 @@ from twistsmc import (
     fit_log_quadratic,
     temper_exponent,
 )
-from twistsmc.learn import quadratic_features
+from twistsmc.learn import _has_distinct_rows, quadratic_features
 
 
 def make_targets(twist, x):
@@ -259,3 +262,42 @@ class TestTemperExponent:
             temper_exponent(np.zeros(5), 0.5)
         with pytest.raises(ValueError):
             temper_exponent(np.zeros(5), 5.0)
+
+
+class TestDistinctRows:
+    """The first-column shortcut against the row-wise unique it stands in
+    for."""
+
+    @pytest.mark.parametrize(
+        "pts, p",
+        [
+            # repeated first column, distinct rows: the shortcut cannot decide
+            (np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [1.0, 0.0]]), 4),
+            (np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]), 4),
+            (np.full((5, 2), 3.0), 2),  # all rows equal
+            (np.arange(4.0)[:, None], 5),  # fewer rows than features
+            (np.arange(6.0).reshape(3, 2), 3),
+        ],
+    )
+    def test_matches_unique(self, pts, p):
+        assert _has_distinct_rows(pts, p) == (np.unique(pts, axis=0).shape[0] >= p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pts=hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 10), st.integers(1, 3)),
+            elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.5, np.nan]),
+        ),
+        p=st.integers(1, 9),
+    )
+    def test_matches_unique_on_repeated_values(self, pts, p):
+        assert _has_distinct_rows(pts, p) == (np.unique(pts, axis=0).shape[0] >= p)
+
+    def test_duplicated_cloud_raises_singular_design(self):
+        # two distinct points repeated: fewer distinct rows than 3 features
+        x = np.repeat(np.array([[0.0], [1.0]]), 20, axis=0)
+        with pytest.raises(SingularDesign):
+            fit_log_quadratic(
+                RegressionProblem(prev_states=None, states=x, log_targets=np.zeros(40), mode="diagonal")
+            )

@@ -19,7 +19,7 @@ from twistsmc import (
     simulate_msv,
     simulate_nlobs,
 )
-from twistsmc.models import read_dataset_csv, write_dataset_csv
+from twistsmc.models import read_dataset_csv, tridiagonal_is_pd, write_dataset_csv
 from twistsmc.rng import substream
 
 
@@ -128,6 +128,19 @@ class TestMsv:
             MsvParams(m=np.zeros(3), alpha=np.full(3, 0.9), sigma2=np.full(3, 0.2), rho=[0.9, 0.9])
         # near the two-dimensional boundary the matrix stays PD and is accepted
         MsvParams(m=np.zeros(2), alpha=np.full(2, 0.9), sigma2=np.full(2, 0.2), rho=[0.999999])
+
+    def test_tridiagonal_condition_matches_cholesky(self):
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            d = int(rng.integers(2, 9))
+            rho = rng.uniform(-0.95, 0.95, d - 1)
+            corr = np.eye(d) + np.diag(rho, 1) + np.diag(rho, -1)
+            try:
+                np.linalg.cholesky(corr)
+                pd = True
+            except np.linalg.LinAlgError:
+                pd = False
+            assert tridiagonal_is_pd(rho) == pd, rho
 
     def test_emission_potential_matches_gaussian_density(self):
         p = self.params(2)

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2, invgamma
 
 from twistsmc import (
+    InvalidModel,
     LgssmParams,
     ParamTransform,
     PriorSpec,
@@ -21,6 +22,7 @@ from twistsmc.pmmh import (
     improper_flat_block,
     inverse_gamma_block,
     inverse_gamma_hyperparameters,
+    msv_pack,
     msv_prior,
     msv_theta_init,
     msv_transform,
@@ -98,6 +100,16 @@ class TestPriors:
         bad = theta.copy()
         bad[2] = 1.5  # alpha outside (0, 1)
         assert prior.log_density(bad) == -np.inf
+
+    def test_msv_prior_support_is_msv_params_support(self):
+        prior = msv_prior(3)
+        theta = np.array([-1.0, -1.0, -1.0, 0.9, 0.9, 0.9, 0.2, 0.2, 0.2, 0.75, 0.75])
+        with pytest.raises(InvalidModel):
+            msv_pack(theta, 3)
+        assert prior.log_density(theta) == -np.inf
+        theta[9:] = 0.70
+        msv_pack(theta, 3)
+        assert np.isfinite(prior.log_density(theta))
 
     def test_improper_block_contributes_zero(self):
         block = improper_flat_block("m", 3)
@@ -178,6 +190,26 @@ class TestPmmhRun:
         # acceptance ratio is exactly one at the same point
         assert chain.acceptance_rate == 1.0
         assert np.allclose(chain.thetas(), 0.7)
+
+    def test_proposals_outside_msv_support_rejected_without_estimator_calls(self):
+        # start next to the boundary where the tridiagonal covariance stops
+        # being positive definite, so many proposals fall beyond it
+        d = 3
+        theta0 = np.array([-1.0, -1.0, -1.0, 0.9, 0.9, 0.9, 0.2, 0.2, 0.2, 0.70, 0.70])
+        calls = []
+
+        def estimator(theta, ss):
+            msv_pack(theta, d)  # raises InvalidModel beyond the support
+            calls.append(theta.copy())
+            return float(generator(ss).normal())
+
+        steps = 200
+        chain = pmmh_run(
+            estimator, msv_prior(d), msv_transform(d), theta0, steps,
+            proposal_cov=np.eye(4 * d - 1) * 0.05, seed=8,
+        )
+        assert chain.failed_proposals == 0
+        assert len(calls) < steps + 1  # some proposals never reached the estimator
 
     def test_current_estimate_reused_across_rejections(self):
         prior, transform, theta0 = flat_prior_setup()

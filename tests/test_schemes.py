@@ -6,6 +6,7 @@ import pytest
 
 from twistsmc import (
     FeynmanKacModel,
+    InvalidModel,
     LgssmParams,
     NlObsParams,
     SchemeConfig,
@@ -225,6 +226,40 @@ class TestControlledTrain:
             )
             log_zs.append(run.log_zs[1])
         assert np.var(log_zs, ddof=1) <= 1e-3
+
+
+class TestInvalidPotentials:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "train",
+        [
+            forward_train,
+            lambda ref, cfg: online_forward(ref, cfg),
+            lambda ref, cfg: online_forward(ref, cfg, fast=True),
+        ],
+        ids=["forward", "online", "fast-online"],
+    )
+    def test_trainers_reject_infinite_potential_naming_t(self, train, bad):
+        params, ys, ref = lgssm_ref(T=6, seed=4)
+
+        def log_potential(t, xp, x):
+            out = np.asarray(ref.fk.log_potential(t, xp, x), dtype=float)
+            if t == 4:
+                out = out.copy()
+                out[0] = bad
+            return out
+
+        model = FeynmanKacModel(
+            horizon=ref.fk.horizon,
+            state_dim=1,
+            initial_sampler=ref.fk.initial_sampler,
+            transition_sampler=ref.fk.transition_sampler,
+            log_potential=log_potential,
+        )
+        broken = GaussianReference(fk=model, kernels=ref.kernels)
+        with pytest.raises(InvalidModel) as err:
+            train(broken, SchemeConfig(n_train=32, l_max=2, seed=1))
+        assert err.value.t == 4
 
 
 class TestOnlineEquivalence:

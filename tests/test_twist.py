@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import cho_solve
 
 from twistsmc import (
     InvalidTwist,
@@ -18,7 +21,7 @@ from twistsmc import (
     twist_gaussian,
 )
 from twistsmc.rng import substream
-from twistsmc.twist import default_psd_epsilon, integrate_twist_affine
+from twistsmc.twist import _CovFactor, _TwistedKernel, default_psd_epsilon, integrate_twist_affine
 
 
 def random_valid_twist(rng, d, cov, scale=0.6):
@@ -308,3 +311,86 @@ class TestBuildTwistedModel:
         with pytest.raises(InvalidTwist):
             policy = TwistPolicy.from_twists(tws, ref.kernels)
             build_twisted_model(ref, policy)
+
+
+def lapack_scalar_kernel(cov: float, a: float):
+    """The LAPACK route to a 1-d kernel's factors, as every dimension took
+    it before the scalar construction: (chol_lam, twisted_cov,
+    logdet_cov_lam).  Raises LinAlgError where LAPACK finds lambda not
+    positive definite."""
+    chol_cov = np.linalg.cholesky(np.array([[cov]]))
+    prec = cho_solve((chol_cov, True), np.eye(1), check_finite=False)
+    prec = (prec + prec.T) / 2.0
+    chol_lam = np.linalg.cholesky(prec + np.array([[a]]))
+    lam_inv = cho_solve((chol_lam, True), np.eye(1), check_finite=False)
+    logdet = 2.0 * (np.log(np.diag(chol_cov)).sum() + np.log(np.diag(chol_lam)).sum())
+    return chol_lam, (lam_inv + lam_inv.T) / 2.0, logdet
+
+
+class TestScalarKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        cov=st.floats(1e-8, 1e8),
+        a=st.one_of(st.floats(-1e3, 1e3), st.floats(-1e12, 1e12)),
+    )
+    @example(cov=1.0, a=-1.0)  # lambda exactly zero
+    @example(cov=4.0, a=-0.25)
+    @example(cov=3.0, a=-1.0 / 3.0)
+    @example(cov=1.0, a=-0.9999999999999999)
+    def test_matches_lapack_bitwise(self, cov, a):
+        twist = LogQuadraticTwist(np.array([[a]]), np.array([0.3]), 0.7)
+        factor = _CovFactor(np.array([[cov]]))
+        try:
+            chol_lam, twisted_cov, logdet = lapack_scalar_kernel(cov, a)
+        except np.linalg.LinAlgError:
+            with pytest.raises(InvalidTwist):
+                _TwistedKernel(factor, twist)
+            return
+        kern = _TwistedKernel(factor, twist)
+        assert kern.chol_lam.tobytes() == chol_lam.tobytes()
+        assert kern.twisted_cov.tobytes() == twisted_cov.tobytes()
+        assert np.float64(kern.logdet_cov_lam).tobytes() == np.float64(logdet).tobytes()
+
+    @pytest.mark.parametrize("a", [-np.inf, np.inf])
+    def test_infinite_quadratic_term_matches_lapack(self, a):
+        twist = LogQuadraticTwist(np.array([[a]]), np.zeros(1), 0.0)
+        try:
+            ref = lapack_scalar_kernel(2.0, a)
+        except np.linalg.LinAlgError:
+            with pytest.raises(InvalidTwist):
+                _TwistedKernel(_CovFactor(np.array([[2.0]])), twist)
+            return
+        kern = _TwistedKernel(_CovFactor(np.array([[2.0]])), twist)
+        assert kern.chol_lam.tobytes() == ref[0].tobytes()
+        assert kern.twisted_cov.tobytes() == ref[1].tobytes()
+
+    def test_nan_precision_raises(self):
+        # LAPACK's Cholesky passes a NaN pivot through; the scalar path
+        # refuses any lambda that is not positive
+        factor = _CovFactor(np.array([[np.nan]]))
+        with pytest.raises(InvalidTwist):
+            _TwistedKernel(factor, LogQuadraticTwist(np.array([[0.5]]), np.zeros(1), 0.0))
+
+    def test_factor_dimension_must_match_twist(self):
+        with pytest.raises(ValueError):
+            _TwistedKernel(_CovFactor(np.eye(2)), LogQuadraticTwist.identity(1))
+
+
+class TestSymmetryCheck:
+    def test_asymmetric_matrix_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            LogQuadraticTwist(np.array([[1.0, 0.5], [0.4, 1.0]]), np.zeros(2), 0.0)
+
+    def test_rounding_asymmetry_accepted_and_symmetrized(self):
+        a = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
+        tw = LogQuadraticTwist(a, np.zeros(2), 0.0)
+        assert np.array_equal(tw.A, tw.A.T)
+        assert np.array_equal(tw.A, (a + a.T) / 2.0)
+
+    @pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_nan_quadratic_term_rejected(self, d):
+        a = np.eye(d)
+        a[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            LogQuadraticTwist(a, np.zeros(d), 0.0)
